@@ -98,7 +98,8 @@ def _build_local_merge_pass(prog: FGProgram, node: Node,
     out_file = RecordFile(node.disk, output_file, schema)
 
     def write(ctx, buf):
-        out_file.write(buf.tags["start"], buf.view(schema.dtype))
+        if buf.size:  # an empty buffer is only on its way back to the pool
+            out_file.write(buf.tags["start"], buf.view(schema.dtype))
         return buf
 
     horizontal = prog.add_pipeline(
@@ -134,11 +135,13 @@ def _build_local_merge_pass(prog: FGProgram, node: Node,
                 n = merger.merge_into(records, filled, outB - filled)
                 node.compute_merge(n)
                 filled += n
-            if filled:
-                out.size = filled * rec_bytes
-                out.tags["start"] = emitted
-                ctx.convey(out)
-                emitted += filled
+            # filled is 0 when the runs finished during the refill after
+            # this accept; the buffer still travels on, empty, so the
+            # merge stage never holds it at teardown
+            out.size = filled * rec_bytes
+            out.tags["start"] = emitted
+            ctx.convey(out)
+            emitted += filled
         ctx.convey_caboose(horizontal)
 
     merge_stage.fn = merge

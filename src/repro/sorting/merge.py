@@ -7,15 +7,26 @@ directly into an output array, and refills whichever run's head block
 empties.  The merger never blocks — pipeline flow control stays in the FG
 stage that owns it.
 
-Merging is vectorized by *galloping*: the run with the smallest head key
-copies every record strictly below the next competitor's head key in one
-slice, so the per-record Python overhead is amortized over long stretches
-(crucial when one run dominates, e.g. nearly-sorted inputs).
+Output order is ``(key, repr(run), position)``: equal keys leave in the
+order of their run ids' ``repr`` (so int id ``10`` precedes ``2``), and
+within a run in block order.
+
+Merging is a vectorized *frontier merge*.  The frontier run is the one
+whose head block's last record sorts first.  Every head record that sorts
+before or at that last record can be emitted before any unseen block
+matters, so one stable ``argsort`` over the heads' safe slices emits the
+whole prefix at once, with no per-record Python.
+
+Call-boundary contract: :meth:`BlockMerger.merge_into` returns when the
+budget is reached or when a head block empties (only the frontier's can),
+exactly where a per-record merge would stop.  Callers that charge
+simulated time per call therefore see the same call boundaries and counts
+whichever way the merge is computed.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Optional
+from typing import Hashable
 
 import numpy as np
 
@@ -29,12 +40,19 @@ class BlockMerger:
     """Merge k sorted runs, pull-based, one head block per run."""
 
     def __init__(self, schema: RecordSchema, run_ids):
+        run_ids = list(run_ids)
         self.schema = schema
-        self._heads: dict[Hashable, tuple[np.ndarray, int]] = {}
+        # run -> (head block as raw items, its keys, next unconsumed position)
+        self._heads: dict[Hashable, tuple[np.ndarray, np.ndarray, int]] = {}
         self._pending: set[Hashable] = set(run_ids)  # need a block
-        self._finished: set[Hashable] = set()
-        if len(self._pending) != len(list(run_ids)):
+        if len(self._pending) != len(run_ids):
             raise SortError("duplicate run ids")
+        # records move as opaque items: concatenating structured arrays
+        # promotes their dtype field by field, per array
+        self._raw = np.dtype((np.void, schema.dtype.itemsize))
+        # tie order among equal keys
+        self._rank = {run: r
+                      for r, run in enumerate(sorted(run_ids, key=repr))}
 
     # -- run feeding ---------------------------------------------------------
 
@@ -45,7 +63,7 @@ class BlockMerger:
         if len(records) == 0:
             raise SortError(f"empty block fed for run {run!r}")
         self._pending.discard(run)
-        self._heads[run] = (records, 0)
+        self._heads[run] = (records.view(self._raw), records["key"], 0)
 
     def finish_run(self, run: Hashable) -> None:
         """Declare that ``run`` has no more blocks."""
@@ -53,7 +71,6 @@ class BlockMerger:
             raise SortError(
                 f"run {run!r} cannot finish while it has an unconsumed head")
         self._pending.discard(run)
-        self._finished.add(run)
 
     # -- state queries ------------------------------------------------------------
 
@@ -67,7 +84,7 @@ class BlockMerger:
         this to journal per-run consumed positions without copying."""
         if run not in self._heads:
             return 0
-        records, pos = self._heads[run]
+        records, _, pos = self._heads[run]
         return len(records) - pos
 
     @property
@@ -93,49 +110,48 @@ class BlockMerger:
             raise SortError(
                 f"merge_into while runs {sorted(map(repr, self._pending))} "
                 "await blocks")
-        copied = 0
-        while copied < budget and self._heads:
-            run, records, pos = self._min_head()
-            keys = records["key"]
-            competitor = self._second_smallest_key(run)
-            if competitor is None:
-                take = len(records) - pos
-            else:
-                # all records strictly below the competitor can stream out;
-                # on a tie take one record to guarantee progress
-                take = int(np.searchsorted(keys[pos:], competitor,
-                                           side="left"))
-                take = max(take, 1)
-            take = min(take, budget - copied, len(records) - pos)
-            out[start + copied:start + copied + take] = \
-                records[pos:pos + take]
-            copied += take
-            pos += take
-            if pos == len(records):
-                del self._heads[run]
-                if run not in self._finished:
-                    self._pending.add(run)
-                    break  # caller must feed this run before continuing
-            else:
-                self._heads[run] = (records, pos)
-        return copied
-
-    def _min_head(self) -> tuple[Hashable, np.ndarray, int]:
-        best = None
-        for run, (records, pos) in self._heads.items():
-            key = records["key"][pos]
-            cand = (key, repr(run), run, records, pos)
-            if best is None or cand[:2] < best[:2]:
-                best = cand
-        assert best is not None
-        return best[2], best[3], best[4]
-
-    def _second_smallest_key(self, exclude) -> Optional[np.uint64]:
-        best = None
-        for run, (records, pos) in self._heads.items():
-            if run == exclude:
+        if budget <= 0 or not self._heads:
+            return 0
+        runs = sorted(self._heads, key=self._rank.__getitem__)
+        heads = [self._heads[run] for run in runs]
+        keys = [head_keys[pos:] for _, head_keys, pos in heads]
+        # the frontier: the head whose last record sorts first
+        f = min(range(len(runs)), key=lambda i: (keys[i][-1], i))
+        last = keys[f][-1]
+        # each head's records at or before the frontier's last record, in
+        # (key, rank) order; every other head outlasts the frontier's block
+        counts = [len(k) if i == f else
+                  int(k.searchsorted(last, "right" if i < f else "left"))
+                  for i, k in enumerate(keys)]
+        total = sum(counts)
+        take = min(total, budget)
+        dest = out[start:start + take].view(self._raw)
+        if counts[f] == total:
+            # only the frontier contributes: a straight slice copy
+            records, _, pos = heads[f]
+            dest[:] = records[pos:pos + take]
+            advance = [take if i == f else 0 for i in range(len(runs))]
+        else:
+            # slices concatenated in rank order: the stable sort breaks
+            # key ties by rank, then by position
+            order = np.argsort(
+                np.concatenate([k[:n] for k, n in zip(keys, counts)]),
+                kind="stable")[:take]
+            merged = np.concatenate(
+                [records[pos:pos + n]
+                 for (records, _, pos), n in zip(heads, counts)])
+            np.take(merged, order, out=dest)
+            advance = np.bincount(
+                np.repeat(np.arange(len(runs)), counts)[order],
+                minlength=len(runs)).tolist()
+        for run, (records, head_keys, pos), n in zip(runs, heads, advance):
+            if not n:
                 continue
-            key = records["key"][pos]
-            if best is None or key < best:
-                best = key
-        return best
+            pos += n
+            if pos == len(records):
+                # a head's run is never finished: the caller must feed it
+                del self._heads[run]
+                self._pending.add(run)
+            else:
+                self._heads[run] = (records, head_keys, pos)
+        return take

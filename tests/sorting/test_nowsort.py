@@ -102,3 +102,11 @@ def test_verify_partitioned_output_catches_order_violation():
         seed=0)
     with pytest.raises(VerificationError):
         verify_partitioned_output(cluster, manifest, "output")
+
+
+def test_nowsort_is_sanitize_clean_when_output_fills_its_last_buffer(
+        monkeypatch):
+    """A partition of whole output blocks used to leave the merge stage
+    holding the buffer it accepted just before its runs finished."""
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    run_case("uniform", n_nodes=1, n_per_node=2048)
