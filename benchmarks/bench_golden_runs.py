@@ -8,11 +8,11 @@ asserts byte-exact reproduction.  The records are saved under
 quoted number at a replayable artifact (``python -m repro replay
 benchmarks/results/golden_dsort.prov.json``).
 
-The records are replayed fresh each session rather than diffed against
-committed ones: the code fingerprint (and thus the digests, whenever
-behaviour shifts) legitimately changes between revisions — cross-revision
-comparison is exactly what ``repro replay`` is *for*, not what CI should
-hard-code.
+This benchmark replays the records it just made.  The committed records
+are gated separately: tier-1's ``test_committed_golden_record_reproduces``
+replays each one, so a change that moves a digest or a stage graph must
+re-record them with this benchmark, deliberately.  The code fingerprint
+may differ between revisions; replay does not require it to match.
 """
 
 import os

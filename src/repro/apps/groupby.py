@@ -31,7 +31,7 @@ from repro.core import FGProgram, Stage
 from repro.errors import SortError
 from repro.pdm.blockfile import RecordFile
 from repro.pdm.records import RecordSchema
-from repro.sorting.merge import BlockMerger
+from repro.sorting.merge_stage import add_run_readers
 
 __all__ = ["KeyValueSchema", "GroupByReport", "run_groupby",
            "GroupByConfig"]
@@ -237,22 +237,10 @@ def run_groupby(node: Node, comm: Comm,
     prog2 = FGProgram(kernel, env={"node": node, "comm": comm},
                       name=f"{config.name_prefix}-p2@{comm.rank}")
     merge_stage = Stage.source_driven("merge", None)
-    verticals = []
-    for i, (run_name, n_run) in enumerate(runs):
-        run_file = RecordFile(node.disk, run_name, schema)
-
-        def make_read(run_file, n_run):
-            def read_run(ctx, buf):
-                start = buf.round * vB
-                buf.put(run_file.read(start, min(vB, n_run - start)))
-                return buf
-            return read_run
-
-        stage = Stage.map(f"read{i}", make_read(run_file, n_run),
-                          virtual=True, virtual_group="read")
-        verticals.append(prog2.add_pipeline(
-            f"v{i}", [stage, merge_stage], nbuffers=2,
-            buffer_bytes=vB * rec_bytes, rounds=math.ceil(n_run / vB)))
+    make_feed = add_run_readers(
+        prog2, node, schema,
+        {i: (run_name, 0, n_run) for i, (run_name, n_run) in enumerate(runs)},
+        merge_stage, vB)
 
     def write_out(ctx, buf):
         records = buf.view(schema.dtype)
@@ -266,25 +254,13 @@ def run_groupby(node: Node, comm: Comm,
         rounds=None)
 
     def merge(ctx):
-        merger = BlockMerger(schema, range(len(verticals)))
-        head_buf = {}
-
-        def refill():
-            for i in sorted(merger.needs()):
-                if i in head_buf:
-                    ctx.convey(head_buf.pop(i))
-                nxt = ctx.accept(verticals[i])
-                if nxt.is_caboose:
-                    ctx.forward(nxt)
-                    merger.finish_run(i)
-                else:
-                    merger.feed(i, nxt.view(schema.dtype))
-                    head_buf[i] = nxt
-
-        refill()
+        feed = make_feed(ctx)
         emitted = 0
         carry = None  # last combined record; next chunk may extend it
-        while not merger.exhausted or carry is not None:
+        # the first output buffer is taken right after priming, with a
+        # record ready, and every later one with a carry in hand, so no
+        # accepted buffer is left unconveyed
+        while not feed.exhausted or carry is not None:
             out = ctx.accept(horizontal)
             records = out.data.view(schema.dtype)
             filled = 0
@@ -292,21 +268,17 @@ def run_groupby(node: Node, comm: Comm,
                 records[0] = carry
                 filled = 1
                 carry = None
-            while filled <= outB and not merger.exhausted:
-                if not merger.ready:
-                    refill()
-                    continue
-                n = merger.merge_into(records, filled, outB + 1 - filled)
-                node.compute_merge(n)
+            while filled <= outB:
+                n = feed.merge_into(records, filled, outB + 1 - filled)
                 if n == 0:
-                    continue
+                    break
                 combined = combine_sorted(records[:filled + n])
                 node.compute_copy((filled + n) * rec_bytes)
                 records[:len(combined)] = combined
                 filled = len(combined)
             # hold back the last record: the next merged chunk may carry
             # more values of the same key
-            if not merger.exhausted and filled > 0:
+            if not feed.exhausted and filled > 0:
                 carry = records[filled - 1].copy()
                 filled -= 1
             if filled:

@@ -43,7 +43,7 @@ from repro.sorting.dsort.dsort import (
     _striped_share,
 )
 from repro.sorting.dsort.sampling import partition_ids, select_splitters
-from repro.sorting.merge import BlockMerger
+from repro.sorting.merge_stage import MergeFeed
 
 __all__ = ["run_dsort_linear"]
 
@@ -200,6 +200,12 @@ def _build_linear_pass1(prog: FGProgram, node: Node, comm: Comm,
         rounds=None)
 
 
+def _run_blocks(run_file: RecordFile, n_run: int, block_records: int):
+    """A run's blocks, each read from disk only when the merge asks."""
+    for start in range(0, n_run, block_records):
+        yield run_file.read(start, min(block_records, n_run - start))
+
+
 def _build_linear_pass2(prog: FGProgram, node: Node, comm: Comm,
                         schema: RecordSchema, runs, start_global: int,
                         output_file: str, vertical_block_records: int,
@@ -210,42 +216,23 @@ def _build_linear_pass2(prog: FGProgram, node: Node, comm: Comm,
     outB = out_block_records
     flags = {"merge_done": False}
 
-    run_files = [(RecordFile(node.disk, name, schema), n)
-                 for name, n in runs]
-
     def merge(ctx):
         """Merge with synchronous per-run reads (no prefetch overlap)."""
         pipeline = ctx.pipelines[0]
-        merger = BlockMerger(schema, range(len(run_files)))
-        consumed = [0] * len(run_files)
-
-        def refill():
-            for i in sorted(merger.needs()):
-                run_file, n_run = run_files[i]
-                if consumed[i] >= n_run:
-                    merger.finish_run(i)
-                    continue
-                count = min(vB, n_run - consumed[i])
-                merger.feed(i, run_file.read(consumed[i], count))
-                consumed[i] += count
-
-        refill()
+        readers = [_run_blocks(RecordFile(node.disk, name, schema), n, vB)
+                   for name, n in runs]
+        feed = MergeFeed(node, schema,
+                         {i: n for i, (_, n) in enumerate(runs)},
+                         lambda i: next(readers[i], None))
         emitted = 0
-        while not merger.exhausted:
+        while not feed.exhausted:
             buf = ctx.accept()
             position = start_global + emitted
             block = position // outB
             offset = position % outB
             target = outB - offset
-            out_records = buf.data[:target * rec_bytes].view(schema.dtype)
-            filled = 0
-            while filled < target and not merger.exhausted:
-                if not merger.ready:
-                    refill()
-                    continue
-                n = merger.merge_into(out_records, filled, target - filled)
-                node.compute_merge(n)
-                filled += n
+            filled = feed.fill(
+                buf.data[:target * rec_bytes].view(schema.dtype), target)
             if filled == 0:
                 # runs finished during the final refill: repurpose the
                 # accepted buffer as the first drain buffer

@@ -22,7 +22,6 @@ most loaded disk sets the pace.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Optional
 
 import numpy as np
@@ -36,7 +35,7 @@ from repro.pdm.records import RecordSchema
 from repro.sorting.dsort.dsort import DsortConfig
 from repro.sorting.dsort.pass1 import build_pass1
 from repro.sorting.dsort.sampling import Splitters
-from repro.sorting.merge import BlockMerger
+from repro.sorting.merge_stage import add_run_readers
 
 __all__ = ["NowSortReport", "run_nowsort", "uniform_splitters"]
 
@@ -78,22 +77,10 @@ def _build_local_merge_pass(prog: FGProgram, node: Node,
     outB = out_block_records
 
     merge_stage = Stage.source_driven("merge", None)
-    verticals = []
-    for i, (run_name, n_run) in enumerate(runs):
-        run_file = RecordFile(node.disk, run_name, schema)
-
-        def make_read(run_file, n_run):
-            def read(ctx, buf):
-                start = buf.round * vB
-                buf.put(run_file.read(start, min(vB, n_run - start)))
-                return buf
-            return read
-
-        stage = Stage.map(f"read{i}", make_read(run_file, n_run),
-                          virtual=True, virtual_group="read")
-        verticals.append(prog.add_pipeline(
-            f"v{i}", [stage, merge_stage], nbuffers=2,
-            buffer_bytes=vB * rec_bytes, rounds=math.ceil(n_run / vB)))
+    make_feed = add_run_readers(
+        prog, node, schema,
+        {i: (run_name, 0, n_run) for i, (run_name, n_run) in enumerate(runs)},
+        merge_stage, vB)
 
     out_file = RecordFile(node.disk, output_file, schema)
 
@@ -107,34 +94,11 @@ def _build_local_merge_pass(prog: FGProgram, node: Node,
         nbuffers=nbuffers, buffer_bytes=outB * rec_bytes, rounds=None)
 
     def merge(ctx):
-        merger = BlockMerger(schema, range(len(verticals)))
-        head_buf = {}
-
-        def refill():
-            for i in sorted(merger.needs()):
-                if i in head_buf:
-                    ctx.convey(head_buf.pop(i))
-                nxt = ctx.accept(verticals[i])
-                if nxt.is_caboose:
-                    ctx.forward(nxt)
-                    merger.finish_run(i)
-                else:
-                    merger.feed(i, nxt.view(schema.dtype))
-                    head_buf[i] = nxt
-
-        refill()
+        feed = make_feed(ctx)
         emitted = 0
-        while not merger.exhausted:
+        while not feed.exhausted:
             out = ctx.accept(horizontal)
-            records = out.data.view(schema.dtype)
-            filled = 0
-            while filled < outB and not merger.exhausted:
-                if not merger.ready:
-                    refill()
-                    continue
-                n = merger.merge_into(records, filled, outB - filled)
-                node.compute_merge(n)
-                filled += n
+            filled = feed.fill(out.data.view(schema.dtype), outB)
             # filled is 0 when the runs finished during the refill after
             # this accept; the buffer still travels on, empty, so the
             # merge stage never holds it at teardown

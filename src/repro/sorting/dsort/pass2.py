@@ -18,11 +18,15 @@ Load balancing is implicit: the merged streams of the P nodes concatenate
 into the global sorted order, and PDM striping deals the blocks of that
 order round-robin across nodes regardless of how unbalanced the partition
 sizes were.
+
+The vertical pipelines and the merge stage's input side are the shared
+merge stage of :mod:`repro.sorting.merge_stage`; this module keeps only
+the output policy: fill each buffer to a stripe-block boundary and send
+it to the block's owner.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from repro.cluster.mpi import Comm
@@ -31,7 +35,7 @@ from repro.core import FGProgram, Stage
 from repro.errors import SortError
 from repro.pdm.blockfile import RecordFile
 from repro.pdm.records import RecordSchema
-from repro.sorting.merge import BlockMerger
+from repro.sorting.merge_stage import add_run_readers
 
 __all__ = ["build_pass2", "TAG_PASS2"]
 
@@ -61,28 +65,14 @@ def build_pass2(prog: FGProgram, node: Node, comm: Comm,
 
     # -- vertical pipelines (virtual read stages) ---------------------------
 
-    merge_stage = Stage.source_driven("merge", None)  # fn bound below
-    verticals = []
-    for i, (run_name, n_run) in enumerate(runs):
+    for run_name, n_run in runs:
         if n_run <= 0:
             raise SortError(f"run {run_name!r} is empty")
-        run_file = RecordFile(node.disk, run_name, schema)
-
-        def make_read(run_file, n_run):
-            def read(ctx, buf):
-                start = buf.round * vB
-                count = min(vB, n_run - start)
-                buf.put(run_file.read(start, count))
-                return buf
-            return read
-
-        stage = Stage.map(f"read{i}", make_read(run_file, n_run),
-                          virtual=True, virtual_group="read")
-        pipeline = prog.add_pipeline(
-            f"v{i}", [stage, merge_stage],
-            nbuffers=2, buffer_bytes=vB * rec_bytes,
-            rounds=math.ceil(n_run / vB))
-        verticals.append(pipeline)
+    merge_stage = Stage.source_driven("merge", None)  # fn bound below
+    make_feed = add_run_readers(
+        prog, node, schema,
+        {i: (run_name, 0, n_run) for i, (run_name, n_run) in enumerate(runs)},
+        merge_stage, vB)
 
     # -- horizontal pipeline: merge -> send ------------------------------------
 
@@ -118,29 +108,11 @@ def build_pass2(prog: FGProgram, node: Node, comm: Comm,
         nbuffers=nbuffers, buffer_bytes=outB * rec_bytes, rounds=None)
 
     def merge(ctx):
-        merger = BlockMerger(schema, range(len(verticals)))
-        head_buf = {}
-
-        def refill():
-            for i in sorted(merger.needs()):
-                if i in head_buf:
-                    ctx.convey(head_buf.pop(i))  # spent buffer goes home
-                nxt = ctx.accept(verticals[i])
-                if nxt.is_caboose:
-                    ctx.forward(nxt)
-                    merger.finish_run(i)
-                else:
-                    merger.feed(i, nxt.view(schema.dtype))
-                    head_buf[i] = nxt
-
-        refill()  # prime one block per run
+        feed = make_feed(ctx)
         emitted = 0
-        while not merger.exhausted:
-            if not merger.ready:
-                # only take an output buffer once a record is available,
-                # so the last buffer accepted is never abandoned unfilled
-                refill()
-                continue
+        # only take an output buffer once a record is available, so the
+        # last buffer accepted is never abandoned unfilled
+        while feed.has_next():
             out = ctx.accept(horizontal)
             if out.is_caboose:
                 # The horizontal pipeline was poisoned below us (send
@@ -154,21 +126,13 @@ def build_pass2(prog: FGProgram, node: Node, comm: Comm,
             # fill exactly to the stripe-block boundary so each conveyed
             # buffer maps to one global block
             target = outB - offset
-            out_records = out.data[:target * rec_bytes].view(schema.dtype)
-            filled = 0
-            while filled < target and not merger.exhausted:
-                if not merger.ready:
-                    refill()
-                    continue
-                n = merger.merge_into(out_records, filled, target - filled)
-                node.compute_merge(n)
-                filled += n
-            if filled:
-                out.size = filled * rec_bytes
-                out.tags["global_block"] = block
-                out.tags["offset"] = offset
-                ctx.convey(out)
-                emitted += filled
+            filled = feed.fill(
+                out.data[:target * rec_bytes].view(schema.dtype), target)
+            out.size = filled * rec_bytes
+            out.tags["global_block"] = block
+            out.tags["offset"] = offset
+            ctx.convey(out)
+            emitted += filled
         ctx.convey_caboose(horizontal)
 
     merge_stage.fn = merge
@@ -261,7 +225,6 @@ def _add_merge_chain(prog: FGProgram, node: Node, comm: Comm,
     P = comm.size
     S = len(owners)
     rec_bytes = schema.record_bytes
-    rank = comm.rank
     ends_key = f"ends:{pid}"
     journal_every = manager.policy.journal_every
 
@@ -294,32 +257,18 @@ def _add_merge_chain(prog: FGProgram, node: Node, comm: Comm,
 
     # -- verticals (skip runs the checkpoint already consumed) ------------
 
+    def before_read() -> None:
+        if gated:
+            gate_check()  # no disk touched before the race opens
+        check_defeat()
+
+    active = {i: (run_name, r0 + positions[i], n_run - positions[i])
+              for i, (run_name, r0, n_run) in enumerate(runs)
+              if positions[i] < n_run}
     merge_stage = Stage.source_driven(f"{label}merge", None)
-    verticals: dict[int, object] = {}
-    for i, (run_name, r0, n_run) in enumerate(runs):
-        p0 = positions[i]
-        if p0 >= n_run:
-            continue
-        run_file = RecordFile(node.disk, run_name, schema)
-
-        def make_read(run_file, r0, n_run, p0):
-            def read(ctx, buf):
-                if gated:
-                    gate_check()  # no disk touched before the race opens
-                check_defeat()
-                start = p0 + buf.round * vB
-                count = min(vB, n_run - start)
-                buf.put(run_file.read(r0 + start, count))
-                return buf
-            return read
-
-        stage = Stage.map(f"{label}read{i}",
-                          make_read(run_file, r0, n_run, p0),
-                          virtual=True, virtual_group=f"{label}read")
-        verticals[i] = prog.add_pipeline(
-            f"{label}v{i}", [stage, merge_stage],
-            nbuffers=2, buffer_bytes=vB * rec_bytes,
-            rounds=math.ceil((n_run - p0) / vB), role=role)
+    make_feed = add_run_readers(prog, node, schema, active, merge_stage, vB,
+                                label=label, role=role,
+                                before_read=before_read)
 
     # -- horizontal: merge -> send ----------------------------------------
 
@@ -360,37 +309,7 @@ def _add_merge_chain(prog: FGProgram, node: Node, comm: Comm,
     def merge(ctx):
         if gated:
             gate_check()
-        active = sorted(verticals)
-        merger = BlockMerger(schema, active)
-        head_buf: dict[int, object] = {}
-        fed = {i: positions[i] for i in active}
-
-        def refill():
-            check_defeat()
-            for i in sorted(merger.needs()):
-                if i in head_buf:
-                    ctx.convey(head_buf.pop(i))  # spent buffer goes home
-                nxt = ctx.accept(verticals[i])
-                if nxt.is_caboose:
-                    ctx.forward(nxt)
-                    # a poisoned vertical (its read stage died) flushes a
-                    # caboose too; honoring it as end-of-run would merge
-                    # the surviving runs into wrong-but-sorted pieces —
-                    # which checkpointing would then make durable.  Only
-                    # a fully-delivered run may retire.
-                    if fed[i] != runs[i][2]:
-                        check_defeat()
-                        raise SortError(
-                            f"pass-2 vertical {i} died after {fed[i]} of "
-                            f"{runs[i][2]} records")
-                    merger.finish_run(i)
-                else:
-                    block = nxt.view(schema.dtype)
-                    merger.feed(i, block)
-                    fed[i] += len(block)
-                    head_buf[i] = nxt
-
-        refill()
+        feed = make_feed(ctx, before_refill=check_defeat)
         emitted = emitted0
         for idx in range(start_piece, len(pieces)):
             check_defeat()
@@ -399,19 +318,11 @@ def _add_merge_chain(prog: FGProgram, node: Node, comm: Comm,
             if out.is_caboose:
                 raise SortError(
                     "pass-2 output pipeline failed underneath merge")
-            out_records = out.data[:cnt * rec_bytes].view(schema.dtype)
-            filled = 0
-            while filled < cnt:
-                if not merger.ready:
-                    refill()
-                    continue
-                n = merger.merge_into(out_records, filled, cnt - filled)
-                if n == 0 and merger.exhausted:
-                    check_defeat()
-                    raise SortError(
-                        "pass-2 merge ran dry before its range completed")
-                node.compute_merge(n)
-                filled += n
+            if feed.fill(out.data[:cnt * rec_bytes].view(schema.dtype),
+                         cnt) < cnt:
+                check_defeat()
+                raise SortError(
+                    "pass-2 merge ran dry before its range completed")
             out.size = cnt * rec_bytes
             out.tags["global_block"] = blk
             out.tags["offset"] = off
@@ -422,17 +333,14 @@ def _add_merge_chain(prog: FGProgram, node: Node, comm: Comm,
             if mlog is not None and (idx == len(pieces) - 1
                                      or (idx + 1 - start_piece)
                                      % journal_every == 0):
-                consumed = [fed[i] - merger.head_remaining(i)
-                            if i in fed else positions[i]
+                consumed = [positions[i] + feed.consumed(i)
+                            if i in active else positions[i]
                             for i in range(len(runs))]
                 mlog.append({"k": idx, "e": emitted, "pos": consumed})
         # totals are exact, so past the last piece only cabooses remain;
         # accept them so the vertical pipelines can finish
-        while not merger.exhausted:
-            if not merger.needs():
-                raise SortError(
-                    "pass-2 merge has records beyond its range")
-            refill()
+        if feed.has_next():
+            raise SortError("pass-2 merge has records beyond its range")
         ctx.convey_caboose(horizontal)
         if contender is not None:
             manager.range_complete(gate_rank, contender)

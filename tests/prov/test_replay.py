@@ -19,6 +19,8 @@ from repro.pdm.records import RecordSchema
 from repro.prov import ProvenanceRecord, emit_script, replay
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "..",
+                          "benchmarks", "results")
 
 
 def chaos_record():
@@ -107,3 +109,12 @@ def test_emitted_script_reproduces_the_run(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "REPRODUCED byte-exactly" in proc.stdout
+
+
+@pytest.mark.parametrize("name", ["dsort", "csort", "chaos"])
+def test_committed_golden_record_reproduces(name):
+    # the records EXPERIMENTS.md quotes must still replay byte-exactly
+    record = ProvenanceRecord.load(
+        os.path.join(GOLDEN_DIR, f"golden_{name}.prov.json"))
+    result = replay(record)
+    assert result.ok, result.to_json()
