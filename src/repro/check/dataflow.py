@@ -30,6 +30,23 @@ Three layers, bottom to top:
   cell sets into the cross-stage conflict pairs that FG110 and the
   FGRace cross-check consume.
 
+Each code object is decoded once per process: :func:`_decoded` caches,
+keyed on the code object's identity, its ``dis`` instructions and the
+effect scan's classified view of them.  An entry holds data decoded
+from the code object, never a function, closure cell or globals dict,
+so the cache keeps no program alive, and it is dropped when its code
+object is collected; code objects are immutable, so an entry never
+goes stale.  Stage closures are rebuilt for every pass on every node,
+but the code objects under them are constants of the enclosing
+functions, so one decode serves every rank and every run.  Resolving
+what a name *refers to* (closure cells, globals) stays per function
+and per analysis: two closures of one code object bind different
+cells, and a cell's contents can change between two starts.  Within
+one analysis, :meth:`repro.plan.ir.ProgramGraph.from_program` runs one
+effect scan per distinct stage function and keeps the result on its
+``StageNode``; :func:`program_effects` and the lint rules read it from
+there.
+
 Cells are identified by the ``id()`` of the base object resolved at
 analysis time, refined by a constant subscript key or attribute name
 when the bytecode shows one.  A mutation with no visible key (e.g.
@@ -51,6 +68,7 @@ import io
 import sys
 import threading
 import types
+import weakref
 from typing import Any, Callable, Iterator, Optional
 
 __all__ = [
@@ -68,6 +86,7 @@ __all__ = [
     "program_effects",
     "reachable_names",
     "shared_state_evidence",
+    "stage_fn_effects",
     "unserializable_captures",
 ]
 
@@ -123,6 +142,88 @@ def _is_callee_global(instr: dis.Instruction) -> bool:
 
 
 # -- the shared walk --------------------------------------------------------
+
+
+# op classes of the effect scan's instruction stream (see _scan_op)
+(_OP_DEREF, _OP_GLOBAL, _OP_FAST, _OP_CONST, _OP_ATTR, _OP_SUBSCR,
+ _OP_SLICE, _OP_STORE_SUBSCR, _OP_STORE_ATTR, _OP_STORE_DEREF,
+ _OP_STORE_GLOBAL, _OP_STORE_FAST, _OP_CALL, _OP_OTHER) = range(14)
+
+#: one effect-scan op: (op class, argument, flag); the argument is the
+#: name loaded or stored, or the slot key of a constant
+_ScanOp = tuple[int, str, bool]
+
+#: opcodes the effect scan tells apart by their exact name
+_EXACT_OPS = {
+    "LOAD_DEREF": _OP_DEREF, "LOAD_CLASSDEREF": _OP_DEREF,
+    "LOAD_GLOBAL": _OP_GLOBAL, "LOAD_METHOD": _OP_ATTR,
+    "LOAD_ATTR": _OP_ATTR, "BINARY_SUBSCR": _OP_SUBSCR,
+    "BINARY_SLICE": _OP_SLICE, "STORE_SUBSCR": _OP_STORE_SUBSCR,
+    "STORE_ATTR": _OP_STORE_ATTR, "STORE_DEREF": _OP_STORE_DEREF,
+    "STORE_GLOBAL": _OP_STORE_GLOBAL,
+}
+
+
+def _scan_op(instr: dis.Instruction) -> Optional[_ScanOp]:
+    """The effect scan's view of one instruction, or None for one it
+    passes over unchanged.  The flag marks a method-call attribute load
+    and a global load in callee position."""
+    op = instr.opname
+    kind = _EXACT_OPS.get(op)
+    if kind is None:
+        if op.startswith("LOAD_FAST"):
+            kind = _OP_FAST
+        elif op.startswith("STORE_FAST"):
+            kind = _OP_STORE_FAST
+        elif op == "LOAD_CONST":
+            # only a str/int constant can key a subscript slot
+            if not isinstance(instr.argval, (str, int)):
+                return None
+            return _OP_CONST, f"[{instr.argval!r}]", False
+        elif op == "PRECALL" or op in TRANSPARENT_OPS:
+            return None  # PRECALL: 3.11 companion opcode; CALL follows
+        elif op.startswith("CALL") and not op.startswith("CALL_INTRINSIC"):
+            kind = _OP_CALL
+        else:
+            kind = _OP_OTHER
+    flag = (_is_callee_global(instr) if kind == _OP_GLOBAL
+            else _is_method_load(instr) if kind == _OP_ATTR else False)
+    return kind, str(instr.argval), flag
+
+
+@dataclasses.dataclass(frozen=True)
+class _Decoded:
+    """One code object, decoded."""
+
+    instructions: tuple[dis.Instruction, ...]
+    #: the effect scan's stream: :func:`_scan_op` of every instruction,
+    #: passed-over ones dropped and runs of ``_OP_OTHER`` (each resets
+    #: the scan's register, so a run acts like one) collapsed
+    scan_ops: tuple[_ScanOp, ...]
+
+
+#: ``id(code)`` -> its :class:`_Decoded`, for every live code object
+#: analyzed so far.  No function, closure cell or globals dict is
+#: reachable from an entry, and an entry goes when its code object does
+#: (which also frees the id before anything can reuse it).
+_DECODED: dict[int, _Decoded] = {}
+
+
+def _decoded(code: types.CodeType) -> _Decoded:
+    """``code`` decoded, once per process."""
+    entry = _DECODED.get(id(code))
+    if entry is None:
+        weakref.finalize(code, _DECODED.pop, id(code), None)
+        instructions = tuple(dis.get_instructions(code))
+        ops: list[_ScanOp] = []
+        for instr in instructions:
+            scan_op = _scan_op(instr)
+            if scan_op is None or (scan_op[0] == _OP_OTHER and ops
+                                   and ops[-1][0] == _OP_OTHER):
+                continue
+            ops.append(scan_op)
+        entry = _DECODED[id(code)] = _Decoded(instructions, tuple(ops))
+    return entry
 
 
 def iter_code_objects(fn: Callable[..., Any], *,
@@ -241,7 +342,7 @@ def shared_state_evidence(fn: Callable[..., Any]) -> list[str]:
     for code in iter_code_objects(fn):
         base_shared = False
         base_name = ""
-        for instr in dis.get_instructions(code):
+        for instr in _decoded(code).instructions:
             op = instr.opname
             if op in ("LOAD_DEREF", "LOAD_CLASSDEREF"):
                 base_name = str(instr.argval)
@@ -344,6 +445,9 @@ class Effects:
     #: FG111 evidence: ways an alias of the stage's buffer can outlive
     #: its convey
     buffer_escapes: tuple[str, ...] = ()
+    #: a fused stage's per-part effects, in composition order (FG112
+    #: counts the writers among them); empty for an ordinary function
+    parts: tuple["Effects", ...] = ()
 
     @property
     def classification(self) -> str:
@@ -352,6 +456,10 @@ class Effects:
         if self.reads:
             return READ_SHARED
         return PURE
+
+
+#: the effects of a stage with no function
+_NO_EFFECTS = Effects(frozenset(), frozenset())
 
 
 class _EffectScan:
@@ -438,42 +546,37 @@ class _EffectScan:
         pending: list[tuple[str, Optional[str]]] = []
         call_made_alias = False
 
-        for instr in dis.get_instructions(code):
-            op = instr.opname
-            if op in ("LOAD_DEREF", "LOAD_CLASSDEREF"):
-                name = str(instr.argval)
+        for op, name, flag in _decoded(code).scan_ops:
+            if op == _OP_DEREF:
                 base_key = None
                 reg_alias = False
                 if name in self.own_free:
                     base = self._free_base(name)
                 else:
                     base = None  # interior (stage-private) variable
-            elif op == "LOAD_GLOBAL":
-                base = self._global_base(str(instr.argval))
+            elif op == _OP_GLOBAL:
+                base = self._global_base(name)
                 base_key = None
                 reg_alias = False
-                if _is_callee_global(instr):
+                if flag:
                     pending.append(("fn", None))
-            elif op.startswith("LOAD_FAST"):
-                name = str(instr.argval)
+            elif op == _OP_FAST:
                 base = None
                 base_key = None
                 reg_alias = name in alias_locals
                 if reg_alias:
                     alias_pending = True
-            elif op == "LOAD_CONST":
-                if base is not None and base.key is None \
-                        and isinstance(instr.argval, (str, int)):
-                    base_key = f"[{instr.argval!r}]"
+            elif op == _OP_CONST:
                 # const loads never clobber the register (transparent)
-            elif op in ("LOAD_METHOD", "LOAD_ATTR"):
-                attr = str(instr.argval)
-                is_method = _is_method_load(instr)
+                if base is not None and base.key is None:
+                    base_key = name
+            elif op == _OP_ATTR:
+                attr = name
+                is_method = flag
                 if base is not None:
                     if attr in MUTATING_METHODS and is_method:
-                        cell = dataclasses.replace(
-                            base, key=base.key or base_key,
-                            label=self._slot_label(base, base_key))
+                        cell = Cell(base.obj_id, base.key or base_key,
+                                    self._slot_label(base, base_key))
                         self._record_write(cell)
                         pending.append(("mut", cell.label))
                         base = None
@@ -500,25 +603,21 @@ class _EffectScan:
                     pending.append(("alias_fn", None))
                 elif is_method:
                     pending.append(("fn", None))
-            elif op == "BINARY_SUBSCR":
+            elif op == _OP_SUBSCR:
                 if base is not None:
-                    key = base.key or base_key
-                    cell = dataclasses.replace(
-                        base, key=key, label=self._slot_label(
-                            base, base_key))
+                    cell = Cell(base.obj_id, base.key or base_key,
+                                self._slot_label(base, base_key))
                     self.reads.add(cell)
                     base = cell
                     base_key = None
                 # subscripting an alias keeps the alias (a slice of the
                 # buffer's data still views its memory)
-            elif op == "BINARY_SLICE":
+            elif op == _OP_SLICE:
                 base_key = None
-            elif op == "STORE_SUBSCR":
+            elif op == _OP_STORE_SUBSCR:
                 if base is not None:
-                    key = base.key or base_key
-                    cell = dataclasses.replace(
-                        base, key=key,
-                        label=self._slot_label(base, base_key))
+                    cell = Cell(base.obj_id, base.key or base_key,
+                                self._slot_label(base, base_key))
                     self._record_write(cell)
                     if alias_pending:
                         self.escapes.append(
@@ -528,11 +627,10 @@ class _EffectScan:
                 base_key = None
                 alias_pending = False
                 reg_alias = False
-            elif op == "STORE_ATTR":
+            elif op == _OP_STORE_ATTR:
                 if base is not None:
-                    attr = str(instr.argval)
-                    cell = Cell(base.obj_id, f".{attr}",
-                                f"{base.label}.{attr}")
+                    cell = Cell(base.obj_id, f".{name}",
+                                f"{base.label}.{name}")
                     self._record_write(cell)
                     if alias_pending:
                         self.escapes.append(
@@ -542,8 +640,7 @@ class _EffectScan:
                 base_key = None
                 alias_pending = False
                 reg_alias = False
-            elif op == "STORE_DEREF":
-                name = str(instr.argval)
+            elif op == _OP_STORE_DEREF:
                 if name in self.own_free:
                     self._record_write(self._deref_write_cell(name))
                     if alias_pending or reg_alias:
@@ -554,8 +651,7 @@ class _EffectScan:
                 base_key = None
                 alias_pending = False
                 reg_alias = False
-            elif op == "STORE_GLOBAL":
-                name = str(instr.argval)
+            elif op == _OP_STORE_GLOBAL:
                 self._record_write(
                     Cell(id(self.globals_ns), f"[{name!r}]",
                          f"global {name}"))
@@ -566,8 +662,7 @@ class _EffectScan:
                 base_key = None
                 alias_pending = False
                 reg_alias = False
-            elif op.startswith("STORE_FAST"):
-                name = str(instr.argval)
+            elif op == _OP_STORE_FAST:
                 if reg_alias or call_made_alias:
                     alias_locals.add(name)
                 else:
@@ -577,11 +672,7 @@ class _EffectScan:
                 alias_pending = False
                 reg_alias = False
                 call_made_alias = False
-            elif (op.startswith("CALL")
-                    and not op.startswith("CALL_INTRINSIC")) \
-                    or op == "PRECALL":
-                if op == "PRECALL":
-                    continue  # 3.11 companion opcode; CALL follows
+            elif op == _OP_CALL:
                 kind, label = pending.pop() if pending else ("fn", None)
                 if kind == "mut" and (alias_pending or reg_alias):
                     self.escapes.append(
@@ -594,9 +685,7 @@ class _EffectScan:
                 # still pending as e.g. an argument of an enclosing call
                 alias_pending = call_made_alias
                 reg_alias = call_made_alias
-            elif op in TRANSPARENT_OPS:
-                continue
-            else:
+            elif op == _OP_OTHER:
                 base = None
                 base_key = None
                 reg_alias = False
@@ -627,14 +716,17 @@ def fn_effects(fn: Callable[..., Any], *,
         writes: set[Cell] = set()
         unresolved: list[str] = []
         escapes: list[str] = []
+        part_effects: list[Effects] = []
         for part in parts:
             eff = fn_effects(part, buffer_param=_buffer_param_of(part))
             reads.update(eff.reads)
             writes.update(eff.writes)
             unresolved.extend(eff.unresolved_writes)
             escapes.extend(eff.buffer_escapes)
+            part_effects.append(eff)
         return Effects(frozenset(reads), frozenset(writes),
-                       tuple(sorted(set(unresolved))), tuple(escapes))
+                       tuple(sorted(set(unresolved))), tuple(escapes),
+                       tuple(part_effects))
     return _EffectScan(fn, buffer_param).run()
 
 
@@ -646,14 +738,22 @@ def _buffer_param_of(fn: Callable[..., Any]) -> Optional[str]:
     return code.co_varnames[1]
 
 
+def stage_fn_effects(fn: Optional[Callable[..., Any]], *,
+                     style: str = "map") -> Optional[Effects]:
+    """:func:`fn_effects` of a stage function of the given style (a map
+    stage's second parameter is its buffer); None without a function."""
+    if fn is None:
+        return None
+    buffer_param = _buffer_param_of(fn) if style == "map" else None
+    return fn_effects(fn, buffer_param=buffer_param)
+
+
 def classify_fn(fn: Optional[Callable[..., Any]], *,
                 style: str = "map") -> Optional[str]:
     """``pure`` / ``read_shared`` / ``write_shared`` for a stage
     function; None when there is no function to classify."""
-    if fn is None:
-        return None
-    buffer_param = _buffer_param_of(fn) if style == "map" else None
-    return fn_effects(fn, buffer_param=buffer_param).classification
+    eff = stage_fn_effects(fn, style=style)
+    return None if eff is None else eff.classification
 
 
 # -- FG114: unserializable captures ----------------------------------------
@@ -743,6 +843,8 @@ class ProgramEffects:
     all_conflicts: list[Conflict]
 
     def stage(self, name: str) -> Optional[StageEffects]:
+        """The first stage named ``name``; names may repeat across
+        pipelines, so code holding a graph node reads ``node.effects``."""
         for entry in self.stages:
             if entry.name == name:
                 return entry
@@ -776,11 +878,13 @@ def _family_index(graph: Any) -> dict[int, int]:
 
 
 def program_effects(graph: Any) -> ProgramEffects:
-    """Analyze every stage of a :class:`repro.plan.ir.ProgramGraph`.
+    """Cross-stage conflicts of a :class:`repro.plan.ir.ProgramGraph`.
 
+    Reads each stage's effects from its node (``StageNode.effects``,
+    inferred once when the graph was built) instead of scanning again.
     Duck-typed on the graph (pipelines / stages / intersections) so this
     module imports nothing from :mod:`repro.plan` — the IR imports *us*
-    to stamp ``parallel_safety``.
+    to infer those effects.
     """
     entries: list[StageEffects] = []
     by_stage: dict[int, tuple[StageEffects, Any]] = {}
@@ -789,19 +893,12 @@ def program_effects(graph: Any) -> ProgramEffects:
             s = node.stage
             if id(s) in by_stage:
                 continue
-            fn = s.fn
-            if fn is None:
-                eff = Effects(frozenset(), frozenset())
-                cls: Optional[str] = None
-            else:
-                buffer_param = (_buffer_param_of(fn)
-                                if node.style == "map" else None)
-                eff = fn_effects(fn, buffer_param=buffer_param)
-                cls = eff.classification
-            entry = StageEffects(name=node.name, pipeline=p.name,
-                                 style=node.style, effects=eff,
-                                 classification=cls,
-                                 fn_id=0 if fn is None else id(fn))
+            eff = node.effects
+            entry = StageEffects(
+                name=node.name, pipeline=p.name, style=node.style,
+                effects=_NO_EFFECTS if eff is None else eff,
+                classification=None if eff is None else eff.classification,
+                fn_id=0 if s.fn is None else id(s.fn))
             entries.append(entry)
             by_stage[id(s)] = (entry, p)
     families = _family_index(graph)

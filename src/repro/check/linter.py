@@ -63,6 +63,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
 from repro.check import dataflow as _dataflow
 from repro.check.dataflow import (
+    ProgramEffects,
     iter_code_objects as _iter_code_objects,
     shared_state_evidence as _shared_state_evidence,
 )
@@ -212,7 +213,8 @@ def _stage_declares_eos(stage: "Stage") -> bool:
 
 
 def _check_pool_depth(prog: "FGProgram",
-                      graph: ProgramGraph) -> Iterator[Finding]:
+                      graph: ProgramGraph,
+                      effects: ProgramEffects) -> Iterator[Finding]:
     for p in graph.pipelines:
         depth = p.effective_depth
         if p.nbuffers >= depth:
@@ -233,7 +235,8 @@ def _check_pool_depth(prog: "FGProgram",
 
 
 def _check_stage_order_cycle(prog: "FGProgram",
-                             graph: ProgramGraph) -> Iterator[Finding]:
+                             graph: ProgramGraph,
+                             effects: ProgramEffects) -> Iterator[Finding]:
     edges: dict[int, set[int]] = {}
     names: dict[int, str] = {}
     edge_pipelines: dict[tuple[int, int], str] = {}
@@ -269,7 +272,8 @@ def _check_stage_order_cycle(prog: "FGProgram",
 
 
 def _check_stage_contract(prog: "FGProgram",
-                          graph: ProgramGraph) -> Iterator[Finding]:
+                          graph: ProgramGraph,
+                          effects: ProgramEffects) -> Iterator[Finding]:
     reported: set[int] = set()
     for p in graph.pipelines:
         for node in p.stages:
@@ -302,7 +306,8 @@ def _check_stage_contract(prog: "FGProgram",
 
 
 def _check_eos_declarers(prog: "FGProgram",
-                         graph: ProgramGraph) -> Iterator[Finding]:
+                         graph: ProgramGraph,
+                         effects: ProgramEffects) -> Iterator[Finding]:
     for p in graph.pipelines:
         if p.rounds is not None:
             continue
@@ -336,7 +341,8 @@ def _check_eos_declarers(prog: "FGProgram",
 
 
 def _check_zero_rounds(prog: "FGProgram",
-                       graph: ProgramGraph) -> Iterator[Finding]:
+                       graph: ProgramGraph,
+                       effects: ProgramEffects) -> Iterator[Finding]:
     for p in graph.pipelines:
         if p.rounds == 0:
             yield Finding(
@@ -347,7 +353,8 @@ def _check_zero_rounds(prog: "FGProgram",
 
 
 def _check_failure_hook(prog: "FGProgram",
-                        graph: ProgramGraph) -> Iterator[Finding]:
+                        graph: ProgramGraph,
+                        effects: ProgramEffects) -> Iterator[Finding]:
     hook = prog.on_pipeline_failure
     if hook is None:
         return
@@ -372,7 +379,8 @@ def _check_failure_hook(prog: "FGProgram",
 
 
 def _check_bounded_chains(prog: "FGProgram",
-                          graph: ProgramGraph) -> Iterator[Finding]:
+                          graph: ProgramGraph,
+                          effects: ProgramEffects) -> Iterator[Finding]:
     for p in graph.pipelines:
         if p.channel_capacity is None:
             continue  # every edge unbounded: nothing to bound
@@ -420,7 +428,8 @@ def _check_bounded_chains(prog: "FGProgram",
 
 
 def _check_replicated_state(prog: "FGProgram",
-                            graph: ProgramGraph) -> Iterator[Finding]:
+                            graph: ProgramGraph,
+                            effects: ProgramEffects) -> Iterator[Finding]:
     for p in graph.pipelines:
         for node in p.stages:
             s = node.stage
@@ -448,10 +457,10 @@ def _check_replicated_state(prog: "FGProgram",
 
 
 def _check_effects(prog: "FGProgram",
-                   graph: ProgramGraph) -> Iterator[Finding]:
+                   graph: ProgramGraph,
+                   effects: ProgramEffects) -> Iterator[Finding]:
     """FG110/FG111/FG113: the effect-analysis rules, sharing one
     :func:`repro.check.dataflow.program_effects` pass."""
-    effects = _dataflow.program_effects(graph)
     # FG110: concurrently-runnable stages writing one shared cell.
     # Program-wide scope: every pipeline of one program runs on the same
     # kernel at once, so even disjoint pipelines race on a shared cell.
@@ -482,27 +491,23 @@ def _check_effects(prog: "FGProgram",
                 "through it (copy the data instead)",
                 program=prog.name, pipeline=entry.pipeline,
                 stage=entry.name)
-    # FG113: the EOS declarer's shared writes overlap its pipeline peers
+    # FG113: the EOS declarer's shared writes overlap its pipeline peers.
+    # Effects come from each node itself: stage names need not be unique
+    # across pipelines, so a lookup by name could read another stage's.
     for p in graph.pipelines:
         for node in p.stages:
-            if node.stage.fn is None or not _stage_declares_eos(node.stage):
-                continue
-            entry = effects.stage(node.name)
-            if entry is None:
+            if node.effects is None or not node.effects.writes \
+                    or not _stage_declares_eos(node.stage):
                 continue
             peers: set[str] = set()
             for other in p.stages:
-                if other.stage is node.stage:
+                if other.stage is node.stage or other.effects is None:
                     continue
-                other_entry = effects.stage(other.name)
-                if other_entry is None:
-                    continue
-                for wa in entry.effects.writes:
-                    for cb in (other_entry.effects.writes
-                               | other_entry.effects.reads):
+                for wa in node.effects.writes:
+                    for cb in other.effects.writes | other.effects.reads:
                         if _dataflow.cells_conflict(
                                 wa, cb, a_writes=True,
-                                b_writes=cb in other_entry.effects.writes):
+                                b_writes=cb in other.effects.writes):
                             peers.add(other.name)
             if peers:
                 yield Finding(
@@ -515,7 +520,8 @@ def _check_effects(prog: "FGProgram",
 
 
 def _check_fused_purity(prog: "FGProgram",
-                        graph: ProgramGraph) -> Iterator[Finding]:
+                        graph: ProgramGraph,
+                        effects: ProgramEffects) -> Iterator[Finding]:
     """FG112: a fused stage must compose at most one shared-state
     writer (the planner's purity guard enforces this; the rule catches
     hand-built compositions)."""
@@ -523,14 +529,14 @@ def _check_fused_purity(prog: "FGProgram",
     for p in graph.pipelines:
         for node in p.stages:
             s = node.stage
-            if not node.fused_from or s.fn is None or id(s) in reported:
+            if not node.fused_from or node.effects is None \
+                    or id(s) in reported:
                 continue
-            parts = getattr(s.fn, "_fg_effect_parts", None)
+            parts = node.effects.parts
             if not parts:
                 continue
-            writers = [
-                part for part in parts
-                if _dataflow.classify_fn(part) == _dataflow.WRITE_SHARED]
+            writers = [part for part in parts
+                       if part.classification == _dataflow.WRITE_SHARED]
             if len(writers) >= 2:
                 reported.add(id(s))
                 yield Finding(
@@ -543,7 +549,8 @@ def _check_fused_purity(prog: "FGProgram",
 
 
 def _check_unserializable(prog: "FGProgram",
-                          graph: ProgramGraph) -> Iterator[Finding]:
+                          graph: ProgramGraph,
+                          effects: ProgramEffects) -> Iterator[Finding]:
     """FG114: direct captures that cannot cross a process boundary."""
     reported: set[int] = set()
     for p in graph.pipelines:
@@ -577,17 +584,25 @@ _CHECKS = (
 
 
 def lint_program(prog: "FGProgram",
-                 ignore: Optional[Iterable[str]] = None) -> LintReport:
+                 ignore: Optional[Iterable[str]] = None, *,
+                 graph: Optional[ProgramGraph] = None,
+                 effects: Optional[ProgramEffects] = None) -> LintReport:
     """Run every lint rule over ``prog`` and return the report.
 
     The program does not need to be started; rules operate on the
-    declared structure (pipelines, stages, hooks).
+    declared structure (pipelines, stages, hooks).  ``graph`` and
+    ``effects`` hand in an analysis the caller already ran
+    (:meth:`FGProgram.start` shares its one graph with FGRace); each is
+    built here when omitted.
     """
     suppressed = ignored_rules(ignore)
-    graph = ProgramGraph.from_program(prog)
+    if graph is None:
+        graph = ProgramGraph.from_program(prog)
+    if effects is None:
+        effects = _dataflow.program_effects(graph)
     report = LintReport()
     for check in _CHECKS:
-        report.extend(f for f in check(prog, graph)
+        report.extend(f for f in check(prog, graph, effects)
                       if f.rule_id not in suppressed)
     if EFFECTS is not None:
         EFFECTS.append((prog.name, [

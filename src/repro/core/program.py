@@ -56,6 +56,7 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
+from repro.check import dataflow as _dataflow
 from repro.check.linter import normalize_rule_ids
 from repro.check.races import race_from_env
 from repro.check.sanitizer import Sanitizer, sanitize_from_env
@@ -73,6 +74,7 @@ from repro.errors import (
     StageFailure,
 )
 from repro.obs.observer import ProgramObserver
+from repro.plan.ir import ProgramGraph
 from repro.sim.channel import Channel
 from repro.sim.kernel import Kernel, Process
 
@@ -828,18 +830,22 @@ class FGProgram:
 
     # -- execution ------------------------------------------------------------------------
 
-    def lint(self, ignore: Optional[Iterable[str]] = None) -> list[Any]:
+    def lint(self, ignore: Optional[Iterable[str]] = None, *,
+             graph: Any = None, effects: Any = None) -> list[Any]:
         """Run the static linter over this program's declared structure.
 
         Returns the findings (also stored on :attr:`lint_findings`).
         Called automatically from :meth:`start` unless linting is
         disabled; may also be called directly before starting.
+        ``graph``/``effects`` reuse an analysis already run (see
+        :func:`repro.check.linter.lint_program`).
         """
         from repro.check import linter as _linter
         merged = set(self._lint_ignore)
         if ignore:
             merged.update(ignore)
-        report = _linter.lint_program(self, ignore=merged)
+        report = _linter.lint_program(self, ignore=merged, graph=graph,
+                                      effects=effects)
         self.lint_findings = list(report)
         if _linter.COLLECTOR is not None:
             _linter.COLLECTOR.append((self.name, list(report)))
@@ -850,7 +856,9 @@ class FGProgram:
 
         The static linter (:mod:`repro.check.linter`) runs first;
         error-severity findings raise :class:`~repro.errors.LintError`
-        before any process is spawned.
+        before any process is spawned.  Lint, FGRace and the provenance
+        capture share one :class:`~repro.plan.ir.ProgramGraph`, and lint
+        and FGRace one effect analysis.
         """
         if self._started:
             raise PipelineStructureError("program already started")
@@ -863,21 +871,23 @@ class FGProgram:
         plan = getattr(self.kernel, "plan", None)
         if plan is not None:
             plan.apply(self)
-        if self._lint_enabled:
-            findings = self.lint()
-            errors = [f for f in findings if f.is_error]
-            if errors:
-                raise LintError(findings)
         race = getattr(self.kernel, "race", None)
-        if race is not None:
-            # FGRace consumes the *planned* graph (post-fusion), so the
-            # effect sets it replays match the stages actually spawned
-            from repro.check.dataflow import program_effects
-            from repro.plan.ir import ProgramGraph
-            race.register_program(
-                program_effects(ProgramGraph.from_program(self)))
+        graph: Optional[ProgramGraph] = None
+        if self._lint_enabled or race is not None:
+            # every consumer reads the *planned* graph (post-fusion), so
+            # FGRace replays the effect sets of the stages actually
+            # spawned
+            graph = ProgramGraph.from_program(self)
+            effects = _dataflow.program_effects(graph)
+            if self._lint_enabled:
+                findings = self.lint(graph=graph, effects=effects)
+                errors = [f for f in findings if f.is_error]
+                if errors:
+                    raise LintError(findings)
+            if race is not None:
+                race.register_program(effects)
         self._assemble()
-        self.observer.program_started()
+        self.observer.program_started(graph)
         procs: list[Process] = []
         spawned_sources: set[int] = set()
         for p in self.pipelines:

@@ -66,6 +66,11 @@ class StageNode:
     #: provenance fingerprint pins the verdict a parallel backend would
     #: schedule by.
     parallel_safety: Optional[str] = None
+    #: the stage function's :class:`repro.check.dataflow.Effects`, the
+    #: verdict's source, shared with the effect rules and FGRace; None
+    #: when the stage has no function.  Never part of canonical()
+    effects: Any = dataclasses.field(default=None, compare=False,
+                                     repr=False)
 
     def canonical(self) -> dict[str, Any]:
         entry: dict[str, Any] = {"name": self.name, "style": self.style}
@@ -203,20 +208,34 @@ class ProgramGraph:
         # lazy on purpose: dataflow lives in repro.check, which imports
         # this module — the verdict flows IR <- dataflow, rules flow
         # linter <- IR
-        from repro.check.dataflow import classify_fn
+        from repro.check.dataflow import stage_fn_effects
+
+        # one effect scan per stage function, however many pipelines
+        # own the stage (an intersecting stage is in several)
+        scanned: dict[tuple[int, str], Any] = {}
+
+        def effects_of(s: "Stage") -> Any:
+            key = (id(s.fn), s.style)
+            if key not in scanned:
+                scanned[key] = stage_fn_effects(s.fn, style=s.style)
+            return scanned[key]
 
         pipelines: list[PipelineIR] = []
         pool_deltas = getattr(program, "pool_deltas", None)
         for p in program.pipelines:
-            nodes = [StageNode(
-                name=s.name, style=s.style, virtual=s.virtual,
-                virtual_group=s.virtual_group,
-                replicated=p.is_replicated(s),
-                replica_count=p.replica_count(s),
-                fused_from=tuple(getattr(s, "fused_from", ()) or ()),
-                stage=s,
-                parallel_safety=classify_fn(s.fn, style=s.style))
-                for s in p.stages]
+            nodes = []
+            for s in p.stages:
+                effects = effects_of(s)
+                nodes.append(StageNode(
+                    name=s.name, style=s.style, virtual=s.virtual,
+                    virtual_group=s.virtual_group,
+                    replicated=p.is_replicated(s),
+                    replica_count=p.replica_count(s),
+                    fused_from=tuple(getattr(s, "fused_from", ()) or ()),
+                    stage=s,
+                    parallel_safety=(None if effects is None
+                                     else effects.classification),
+                    effects=effects))
             grown, retired = (0, 0) if pool_deltas is None else pool_deltas(p)
             pipelines.append(PipelineIR(
                 name=p.name, stages=nodes, nbuffers=p.nbuffers,

@@ -72,6 +72,23 @@ def test_keyed_dict_write_is_write_shared():
     assert labels == ["state['next_run']", "state['runs']"]
 
 
+def test_int_constant_keys_refine_cells_like_str_keys():
+    slots = [0, 0]
+
+    def first(ctx, buf):
+        slots[0] += 1
+        return buf
+
+    def second(ctx, buf):
+        slots[1] += 1
+        return buf
+
+    a, b = fn_effects(first), fn_effects(second)
+    assert sorted(str(c) for c in a.writes) == ["slots[0]"]
+    (wa,), (wb,) = a.writes, b.writes
+    assert not cells_conflict(wa, wb, a_writes=True, b_writes=True)
+
+
 def test_attribute_write_is_write_shared():
     class Box:
         total = 0

@@ -648,6 +648,38 @@ def test_fg113_flags_eos_declarer_touching_peer_state():
     assert "consume" in found[0].message
 
 
+@pytest.mark.parametrize("quiet_name", ["other", "recv"])
+def test_fg113_is_not_hidden_by_a_same_named_stage(quiet_name):
+    # stage names repeat across pipelines: a quiet declarer named like
+    # the writing one, in an earlier pipeline, must not mask its finding
+    prog = fresh_prog()
+    state = {"done": 0}
+
+    def quiet(ctx):
+        ctx.convey_caboose(ctx.pipelines[0])
+
+    def recv(ctx):
+        state["done"] += 1
+        ctx.convey_caboose(ctx.pipelines[0])
+
+    def consume(ctx, buf):
+        if state["done"]:
+            return buf
+        return buf
+
+    prog.add_pipeline("q", [Stage.source_driven(quiet_name, quiet),
+                            Stage.map("ok", ok_map)],
+                      nbuffers=2, buffer_bytes=16, rounds=None)
+    prog.add_pipeline("p", [Stage.source_driven("recv", recv),
+                            Stage.map("consume", consume)],
+                      nbuffers=2, buffer_bytes=16, rounds=None)
+    found = lint_program(prog)
+    assert sorted(f.rule_id for f in found) == ["FG110", "FG113"]
+    (f113,) = [f for f in found if f.rule_id == "FG113"]
+    assert (f113.pipeline, f113.stage) == ("p", "recv")
+    assert "consume" in f113.message
+
+
 def test_fg113_clean_when_the_declarer_keeps_state_private():
     prog = fresh_prog()
     state = {"done": 0}
